@@ -27,8 +27,12 @@ from ..rdbms.cost import ExtractionStats
 from ..rdbms.types import SqlType
 from .serializer import DecodedHeader
 
-#: Rows are processed one at a time, so a handful of entries suffices; the
-#: bound exists to keep memory flat on joins that interleave many rows.
+#: Capacity of row-at-a-time scopes (serial plans, joins), where a row's
+#: extractions run back to back and a handful of entries suffices; the
+#: bound keeps memory flat on joins that interleave many rows.  Batch
+#: pipeline scopes evaluate column-major and ask for more through
+#: ``extraction_cache_capacity`` (``4 * BATCH_ROWS``, see
+#: ``repro.rdbms.plan_nodes._WorkerQueryScope``).
 DEFAULT_CACHE_CAPACITY = 256
 
 

@@ -40,6 +40,22 @@ def _found(value: Any) -> bool:
     return value is not None
 
 
+class _DirectAccess:
+    """Header access outside any query scope (direct use, the materializer
+    thread): plain decodes, no counters."""
+
+    @staticmethod
+    def header(data: bytes) -> DecodedHeader:
+        return DecodedHeader(data)
+
+    @staticmethod
+    def subdocument(header: DecodedHeader, parent_id: int) -> bytes | None:
+        return header.extract(parent_id, SqlType.BYTEA)
+
+
+_DIRECT = _DirectAccess()
+
+
 class ReservoirExtractor:
     """Catalog-aware extraction over serialized reservoir values."""
 
@@ -86,21 +102,16 @@ class ReservoirExtractor:
             stack.pop()
         local.top = stack[-1] if stack else None
 
-    def _context(self) -> ExtractionContext | None:
-        return getattr(self._local, "top", None)
+    def _access(self) -> ExtractionContext | _DirectAccess:
+        """Where headers come from: the active query's decode cache, or
+        plain decodes when no query is active."""
+        return getattr(self._local, "top", None) or _DIRECT
 
     def _header(self, data: bytes) -> DecodedHeader:
-        context = getattr(self._local, "top", None)
-        if context is not None:
-            return context.header(data)
-        # no active query (direct use, materializer thread): plain decode
-        return DecodedHeader(data)
+        return self._access().header(data)
 
     def _subdocument(self, header: DecodedHeader, parent_id: int) -> bytes | None:
-        context = getattr(self._local, "top", None)
-        if context is not None:
-            return context.subdocument(header, parent_id)
-        return header.extract(parent_id, SqlType.BYTEA)
+        return self._access().subdocument(header, parent_id)
 
     # -- core navigation ----------------------------------------------------
 
@@ -314,6 +325,19 @@ class ReservoirExtractor:
             data, attr_id, sql_type, value, self.catalog.type_of
         )
 
+    # -- bound kernels (literal keys) ------------------------------------------
+
+    def binder(self, method: str) -> Callable[[str], "BoundExtraction"] | None:
+        """The bind hook registered with the UDF ``method``, or None.
+
+        Every SQL extraction function except ``sinew_to_json`` takes a key;
+        the expression compilers call the hook with a literal key once per
+        compiled expression (see :class:`BoundExtraction`).
+        """
+        if method not in _BOUND_TYPES:
+            return None
+        return lambda key: BoundExtraction(self, method, key)
+
     # -- process-lane support -------------------------------------------------
 
     def remote_token(self) -> tuple:
@@ -356,6 +380,210 @@ class ReservoirExtractor:
         return None
 
 
+#: Per bindable UDF method: the types tried in order, or None for the
+#: any-type methods, which resolve every attribute sharing the key name.
+_BOUND_TYPES: dict[str, tuple[SqlType, ...] | None] = {
+    "extract_text": (SqlType.TEXT,),
+    "extract_int": (SqlType.INTEGER,),
+    "extract_real": (SqlType.REAL,),
+    "extract_num": (SqlType.INTEGER, SqlType.REAL),
+    "extract_bool": (SqlType.BOOLEAN,),
+    "extract_array": (SqlType.ARRAY,),
+    "extract_doc": (SqlType.BYTEA,),
+    "extract_any": None,
+    "exists": None,
+}
+
+
+class BoundExtraction:
+    """One extraction UDF bound to a literal key (DESIGN.md section 8).
+
+    ``column(values)`` is the batch kernel: it extracts a whole list of
+    reservoir values in one loop.  Calling the object extracts one value
+    (the row closure).  Both return exactly what the per-row method
+    ``method(data, key)`` returns, and take each row's header and nested
+    sub-documents through the active :class:`ExtractionContext` in the
+    same order, so decode and hit counts are unchanged.
+
+    Resolution happens at the start of each call, not per row: an attr id
+    that was found is kept (ids are never rebound), a key or dotted prefix
+    the catalog does not know yet is looked up again on the next call, and
+    the any-type methods re-read the key's attribute list on every call
+    because a new type may join it.  Looking up at call start sees every
+    attribute of the rows being extracted: the loader publishes a row's
+    attributes to the catalog before it writes the row to the heap.
+    """
+
+    __slots__ = (
+        "_extractor", "_method", "_key", "_types", "_ids",
+        "_prefixes", "_prefix_ids", "_named", "_one", "_null",
+        "_complete",
+    )
+
+    def __init__(self, extractor: ReservoirExtractor, method: str, key: str):
+        self._extractor = extractor
+        self._method = method
+        self._key = key
+        self._types = _BOUND_TYPES[method]
+        self._ids: list[int | None] = [None] * len(self._types or ())
+        parts = key.split(".")
+        self._prefixes = tuple(
+            ".".join(parts[:split]) for split in range(len(parts) - 1, 0, -1)
+        )
+        self._prefix_ids: list[int | None] = [None] * len(self._prefixes)
+        self._named: tuple | None = None
+        #: row function ``(data, access) -> value`` for non-NULL data;
+        #: None until the first call resolves the key
+        self._one: Callable[[bytes, Any], Any] | None = None
+        self._null = False if method == "exists" else None
+        #: every id found: calls skip resolution from then on
+        self._complete = False
+
+    def __call__(self, data: bytes | None) -> Any:
+        if data is None:
+            return self._null
+        one = self._one if self._complete else self._resolve()
+        return one(data, self._extractor._access())
+
+    def column(self, values: list) -> list:
+        """Extract every value of ``values``, positionally aligned."""
+        one = self._one if self._complete else self._resolve()
+        access = self._extractor._access()
+        null = self._null
+        return [null if data is None else one(data, access) for data in values]
+
+    # -- resolution ----------------------------------------------------------
+
+    def _resolve(self) -> Callable[[bytes, Any], Any]:
+        """Look up what is still unknown; rebuild the row function on change."""
+        catalog = self._extractor.catalog
+        changed = self._one is None
+        for index, prefix in enumerate(self._prefixes):
+            if self._prefix_ids[index] is None:
+                found = catalog.lookup_id(prefix, SqlType.BYTEA)
+                if found is not None:
+                    self._prefix_ids[index] = found
+                    changed = True
+        if self._types is not None:
+            for index, sql_type in enumerate(self._types):
+                if self._ids[index] is None:
+                    found = catalog.lookup_id(self._key, sql_type)
+                    if found is not None:
+                        self._ids[index] = found
+                        changed = True
+        else:
+            named = tuple(
+                (attribute.attr_id, attribute.key_type, attribute.key_name)
+                for attribute in catalog.attributes_named(self._key)
+            )
+            if named != self._named:
+                self._named = named
+                changed = True
+        if changed:
+            self._one = self._build()
+        self._complete = (
+            self._types is not None
+            and None not in self._ids
+            and None not in self._prefix_ids
+        )
+        assert self._one is not None
+        return self._one
+
+    def _build(self) -> Callable[[bytes, Any], Any]:
+        # unknown prefixes are skipped, as the per-row navigation skips them
+        prefix_ids = tuple(pid for pid in self._prefix_ids if pid is not None)
+        if self._method == "exists":
+            return _exists_row(tuple(a for a, _t, _n in self._named or ()), prefix_ids)
+        if self._method == "extract_any":
+            return _any_row(self._named or (), prefix_ids, self._extractor._downcast)
+        assert self._types is not None
+        rows = [
+            _typed_row(attr_id, sql_type, prefix_ids)
+            for attr_id, sql_type in zip(self._ids, self._types)
+        ]
+        if len(rows) == 1:
+            return rows[0]
+        first, second = rows
+
+        def numeric(data: bytes, access: Any) -> Any:
+            # extract_num: the integer attribute first, then the real one
+            value = first(data, access)
+            return value if value is not None else second(data, access)
+
+        return numeric
+
+
+def _typed_row(
+    attr_id: int | None, sql_type: SqlType, prefix_ids: tuple[int, ...]
+) -> Callable[[bytes, Any], Any]:
+    """Row function of :meth:`ReservoirExtractor.extract_typed`, ids bound."""
+
+    def typed(data: bytes, access: Any) -> Any:
+        header = access.header(data)
+        for parent_id in prefix_ids:
+            # dotted keys: every nested-document prefix, longest first
+            if not header.has(parent_id):
+                continue
+            sub_document = access.subdocument(header, parent_id)
+            if sub_document is None:
+                continue
+            value = typed(sub_document, access)
+            if value is not None:
+                return value
+        if attr_id is None:
+            return None
+        return header.extract(attr_id, sql_type)
+
+    return typed
+
+
+def _exists_row(
+    attr_ids: tuple[int, ...], prefix_ids: tuple[int, ...]
+) -> Callable[[bytes, Any], bool]:
+    """Row function of :meth:`ReservoirExtractor.exists`, ids bound."""
+
+    def exists(data: bytes, access: Any) -> bool:
+        header = access.header(data)
+        for attr_id in attr_ids:
+            if header.has(attr_id):
+                return True
+        for parent_id in prefix_ids:
+            if not header.has(parent_id):
+                continue
+            sub_document = access.subdocument(header, parent_id)
+            if sub_document is not None and exists(sub_document, access):
+                return True
+        return False
+
+    return exists
+
+
+def _any_row(
+    named: tuple[tuple[int, SqlType, str], ...],
+    prefix_ids: tuple[int, ...],
+    downcast: Callable[[Any, SqlType, str], str | None],
+) -> Callable[[bytes, Any], str | None]:
+    """Row function of :meth:`ReservoirExtractor.extract_any`, ids bound."""
+
+    def extract_any(data: bytes, access: Any) -> str | None:
+        header = access.header(data)
+        for attr_id, sql_type, key_name in named:
+            if header.has(attr_id):
+                return downcast(header.extract(attr_id, sql_type), sql_type, key_name)
+        for parent_id in prefix_ids:
+            if not header.has(parent_id):
+                continue
+            sub_document = access.subdocument(header, parent_id)
+            if sub_document is None:
+                continue
+            value = extract_any(sub_document, access)
+            if value is not None:
+                return value
+        return None
+
+    return extract_any
+
+
 #: Map from an expected SQL type to the UDF name the rewriter emits.
 EXTRACT_FUNCTION_FOR_TYPE = {
     SqlType.TEXT: "extract_key_text",
@@ -394,6 +622,8 @@ def register_extraction_udfs(db: Database, extractor: ReservoirExtractor) -> Non
     bound methods themselves are unpicklable (they close over the catalog
     and its latches), so the process lane ships the *name* and the worker
     rebinds it to its own extractor (see repro.rdbms.process_worker).
+    Each keyed function also carries the extractor's literal-key bind hook
+    (:meth:`ReservoirExtractor.binder`); the worker registers the same.
     """
     for name, (method, return_type) in EXTRACTION_UDFS.items():
         db.create_function(
@@ -401,6 +631,7 @@ def register_extraction_udfs(db: Database, extractor: ReservoirExtractor) -> Non
             getattr(extractor, method),
             return_type,
             remote_spec=("sinew_extract", method),
+            bind=extractor.binder(method),
         )
     # scope the extractor's decoded-header cache to each query's lifetime
     db.functions.register_query_listener(extractor)

@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..latching import requires_latch
+from ..rdbms.cost import CostCounters
 from ..rdbms.database import Database
 from ..rdbms.errors import CatalogError
 from ..rdbms.types import SqlType
@@ -178,29 +179,34 @@ class ColumnMaterializer:
         cursor = min(state.cursor, self._max_rid(table))
         examined = 0
         n_rids = self._max_rid(table)
+        # the slice's reads, folded into the engine totals once at the end
+        scanned = CostCounters()
 
-        while cursor < n_rids and examined < budget:
-            row = table.fetch(cursor)
-            examined += 1
-            if row is not None:
-                self._fire(
-                    "materializer.before_row_move",
-                    table=table_name, key=attribute.key_name, rid=cursor,
-                )
-                moved = self._move_row_value(
-                    table, cursor, row, state, attribute.key_type,
-                    data_position, column_position,
-                )
-                if moved:
-                    report.rows_moved += 1
-                self._fire(
-                    "materializer.after_row_move",
-                    table=table_name, key=attribute.key_name, rid=cursor,
-                )
-            cursor += 1
-            # Persist progress after every committed row move so a crash
-            # resumes mid-column instead of restarting it.
-            state.cursor = cursor
+        try:
+            while cursor < n_rids and examined < budget:
+                row = table.fetch(cursor, scanned)
+                examined += 1
+                if row is not None:
+                    self._fire(
+                        "materializer.before_row_move",
+                        table=table_name, key=attribute.key_name, rid=cursor,
+                    )
+                    moved = self._move_row_value(
+                        table, cursor, row, state, attribute.key_type,
+                        data_position, column_position,
+                    )
+                    if moved:
+                        report.rows_moved += 1
+                    self._fire(
+                        "materializer.after_row_move",
+                        table=table_name, key=attribute.key_name, rid=cursor,
+                    )
+                cursor += 1
+                # Persist progress after every committed row move so a crash
+                # resumes mid-column instead of restarting it.
+                state.cursor = cursor
+        finally:
+            self.db.fold_counters(scanned)
         report.rows_examined += examined
 
         if cursor >= n_rids:

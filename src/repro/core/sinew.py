@@ -925,74 +925,75 @@ class SinewDB:
 
         from ..rdbms.expressions import SchemaResolver, compile_expr
 
-        resolver = SchemaResolver(
-            [(table_name, c.name) for c in table.schema], self.db.functions
-        )
-        predicate = compile_expr(where, resolver) if where is not None else None
-        data_position = table.schema.position_of(RESERVOIR_COLUMN)
-        id_position = table.schema.position_of(ID_COLUMN)
+        with self.db.statement_functions() as functions:
+            resolver = SchemaResolver(
+                [(table_name, c.name) for c in table.schema], functions
+            )
+            predicate = compile_expr(where, resolver) if where is not None else None
+            data_position = table.schema.position_of(RESERVOIR_COLUMN)
+            id_position = table.schema.position_of(ID_COLUMN)
 
-        updated = 0
-        touched_attrs: dict[int, tuple[str, str]] = {}
-        with self.db._dml_txn(session) as txn:
-            matches: list[tuple[int, tuple]] = []
-            for rid, row in table.scan():
-                if predicate is None or predicate(row) is True:
-                    matches.append((rid, row))
-            for rid, row in matches:
-                new_row = list(row)
-                for physical_name, value in physical_assignments:
-                    new_row[table.schema.position_of(physical_name)] = value
-                if reservoir_assignments:
-                    data = new_row[data_position]
-                    if data is None:
-                        from . import serializer
+            updated = 0
+            touched_attrs: dict[int, tuple[str, str]] = {}
+            with self.db._dml_txn(session) as txn:
+                matches: list[tuple[int, tuple]] = []
+                for rid, row in table.scan(functions.counters):
+                    if predicate is None or predicate(row) is True:
+                        matches.append((rid, row))
+                for rid, row in matches:
+                    new_row = list(row)
+                    for physical_name, value in physical_assignments:
+                        new_row[table.schema.position_of(physical_name)] = value
+                    if reservoir_assignments:
+                        data = new_row[data_position]
+                        if data is None:
+                            from . import serializer
 
-                        data = serializer.serialize([])
-                    for key_name, sql_type, value in reservoir_assignments:
-                        had_value = (
-                            self.extractor.extract_typed(data, key_name, sql_type)
-                            is not None
-                        )
-                        data = self.extractor.set_path(data, key_name, sql_type, value)
-                        attr_id = self.catalog.attribute_id(key_name, sql_type)
-                        touched_attrs[attr_id] = (key_name, sql_type.value)
-                        if value is not None and not had_value:
-                            table_catalog.state(attr_id).count += 1
-                        elif value is None and had_value:
-                            table_catalog.state(attr_id).count -= 1
-                    new_row[data_position] = data
-                replacement = tuple(new_row)
-                old = table.update(rid, replacement)
-                txn.log_update(
-                    table_name,
-                    rid,
-                    table.tuple_bytes(replacement),
-                    undo=lambda rid=rid, old=old: table.update(rid, old),
-                    payload=replacement,
-                )
-                if self.text_index is not None:
-                    doc = self._document_of_row(table, replacement)
-                    self.text_index.index_document(replacement[id_position], doc)
-                updated += 1
-            if touched_attrs:
-                # absolute post-statement counts: replay sets them verbatim,
-                # so the redo is idempotent no matter the per-row history
-                self.db.log_catalog(
-                    {
-                        "op": "counts",
-                        "table": table_name,
-                        "attrs": [
-                            (attr_id, key_name, type_value)
-                            for attr_id, (key_name, type_value) in touched_attrs.items()
-                        ],
-                        "counts": {
-                            attr_id: table_catalog.state(attr_id).count
-                            for attr_id in touched_attrs
+                            data = serializer.serialize([])
+                        for key_name, sql_type, value in reservoir_assignments:
+                            had_value = (
+                                self.extractor.extract_typed(data, key_name, sql_type)
+                                is not None
+                            )
+                            data = self.extractor.set_path(data, key_name, sql_type, value)
+                            attr_id = self.catalog.attribute_id(key_name, sql_type)
+                            touched_attrs[attr_id] = (key_name, sql_type.value)
+                            if value is not None and not had_value:
+                                table_catalog.state(attr_id).count += 1
+                            elif value is None and had_value:
+                                table_catalog.state(attr_id).count -= 1
+                        new_row[data_position] = data
+                    replacement = tuple(new_row)
+                    old = table.update(rid, replacement)
+                    txn.log_update(
+                        table_name,
+                        rid,
+                        table.tuple_bytes(replacement),
+                        undo=lambda rid=rid, old=old: table.update(rid, old),
+                        payload=replacement,
+                    )
+                    if self.text_index is not None:
+                        doc = self._document_of_row(table, replacement)
+                        self.text_index.index_document(replacement[id_position], doc)
+                    updated += 1
+                if touched_attrs:
+                    # absolute post-statement counts: replay sets them verbatim,
+                    # so the redo is idempotent no matter the per-row history
+                    self.db.log_catalog(
+                        {
+                            "op": "counts",
+                            "table": table_name,
+                            "attrs": [
+                                (attr_id, key_name, type_value)
+                                for attr_id, (key_name, type_value) in touched_attrs.items()
+                            ],
+                            "counts": {
+                                attr_id: table_catalog.state(attr_id).count
+                                for attr_id in touched_attrs
+                            },
                         },
-                    },
-                    txn=txn,
-                )
+                        txn=txn,
+                    )
         self._matches_cache.clear()
         self.catalog.bump_data_epoch()
         return self._attach_diagnostics(QueryResult(rowcount=updated), analysis)

@@ -57,11 +57,18 @@ class CostCounters:
         """Add another counter bundle into this one in place.
 
         The parallel executor gives each worker its own private bundle and
-        folds them into the shared counters here, single-threaded at gather
-        time, so totals stay exact without any per-increment locking.
+        folds them into the query's bundle here, single-threaded at gather
+        time, so totals stay exact without any per-increment locking.  Zero
+        fields are skipped.  Statement bundles carry only the fields every
+        writer folds under the database's counters lock (``udf_calls``,
+        ``tuples_scanned``, ``spill_bytes``); the page, tuple-write and WAL
+        fields of the engine totals are incremented directly by their
+        owners, and skipping zeros keeps a fold from rewriting them.
         """
         for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+            value = getattr(other, name)
+            if value:
+                setattr(self, name, getattr(self, name) + value)
 
 
 @dataclass
@@ -71,8 +78,9 @@ class ExtractionStats:
     Populated by the reservoir extractor's per-query decode cache: a
     *decode* is one full header parse of a serialized document, a *hit*
     is a repeat access served from the cache without re-parsing.  The
-    ``udf_calls`` field is the per-query delta of the engine-wide
-    :class:`CostCounters` counter, filled in by the database facade.
+    ``udf_calls`` field is the query's own count of logical UDF calls,
+    copied by the database facade from the query's private
+    :class:`CostCounters` bundle.
     """
 
     udf_calls: int = 0

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
+from ..latching import TrackedLock
 from .cost import CostCounters, DiskBudget, IoCostModel
 from .executor import ExecutorPool, effective_cpu_count
 from .errors import (
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .expressions import SchemaResolver, compile_expr
 from .functions import FunctionRegistry
-from .plan_nodes import ExecutionContext, PlanNode
+from .plan_nodes import ExecutionContext, PlanNode, QueryFunctions
 from .planner import Planner
 from .sql.ast import (
     AlterTableStatement,
@@ -214,6 +216,8 @@ class Database:
         self.name = name
         self.config = config or DatabaseConfig()
         self.counters = CostCounters()
+        #: guards folds of statement-private counters into :attr:`counters`
+        self._counters_lock = TrackedLock("db.counters")
         self.disk = DiskBudget(self.config.disk_budget_bytes)
         self.buffer_pool = BufferPool(self.config.buffer_pool_pages, self.counters)
         self.functions = FunctionRegistry(self.counters)
@@ -301,6 +305,7 @@ class Database:
             null_model=self.config.null_model,
         )
         table.faults = self._faults
+        table.fold_counters = self.fold_counters
         self.tables[name] = table
         self._log_ddl(
             WalRecordType.CREATE_TABLE,
@@ -363,6 +368,7 @@ class Database:
         counts_as_udf: bool = True,
         volatile: bool = False,
         remote_spec: tuple[str, str] | None = None,
+        bind: Callable[[str], Any] | None = None,
     ) -> None:
         """Register a UDF, like PostgreSQL's CREATE FUNCTION.
 
@@ -370,7 +376,8 @@ class Database:
         (PostgreSQL's PARALLEL UNSAFE).  ``remote_spec`` tells the process
         executor lane how a worker process can rebuild the function
         without pickling ``fn``; without one the function is thread-lane
-        only (see :class:`repro.rdbms.functions.ScalarFunction`).
+        only (see :class:`repro.rdbms.functions.ScalarFunction`).  ``bind``
+        is the function's literal-key bind hook (same class).
         """
         self.functions.register_scalar(
             name,
@@ -379,6 +386,7 @@ class Database:
             counts_as_udf,
             volatile=volatile,
             remote_spec=remote_spec,
+            bind=bind,
         )
 
     # ------------------------------------------------------------------
@@ -485,15 +493,15 @@ class Database:
             extraction_hint=extraction_hint,
             use_extraction_cache=use_extraction_cache,
         )
-        udf_calls_before = self.counters.udf_calls
         started = time.perf_counter()
         self.functions.begin_query(context)
         try:
             rows = list(plan.run(context))
         finally:
             self.functions.end_query(context)
+            self.fold_counters(context.counters)
         elapsed = time.perf_counter() - started
-        context.extract_stats.udf_calls = self.counters.udf_calls - udf_calls_before
+        context.extract_stats.udf_calls = context.counters.udf_calls
         columns = [name for _qualifier, name in plan.output_columns]
         exec_stats: dict[str, Any] = dict(context.extract_stats.as_dict())
         exec_stats["execution_seconds"] = elapsed
@@ -538,13 +546,33 @@ class Database:
         return "\n".join(lines)
 
     def execution_context(self, **options: Any) -> ExecutionContext:
+        """A query's context: a private counter bundle and a function view
+        over it, so concurrent queries never share counters.  The caller
+        folds ``context.counters`` into the engine totals at query end
+        (:meth:`fold_counters`)."""
+        counters = CostCounters()
         return ExecutionContext(
-            self.counters,
-            self.functions,
+            counters,
+            QueryFunctions(self.functions, counters),
             self.disk,
             self.config.work_mem_bytes,
             **options,
         )
+
+    def fold_counters(self, counters: CostCounters) -> None:
+        """Add one statement's private counters to the engine totals."""
+        with self._counters_lock:
+            self.counters.accumulate(counters)
+
+    @contextmanager
+    def statement_functions(self) -> Iterator[QueryFunctions]:
+        """A function view over a fresh counter bundle for one DML
+        statement's expressions, folded into the engine totals at exit."""
+        functions = QueryFunctions(self.functions, CostCounters())
+        try:
+            yield functions
+        finally:
+            self.fold_counters(functions.counters)
 
     # -- DML --------------------------------------------------------------
 
@@ -552,13 +580,14 @@ class Database:
         self, statement: InsertStatement, session: DbSession | None = None
     ) -> QueryResult:
         table = self.table(statement.table)
-        resolver = SchemaResolver([], self.functions)
         rows_to_insert: list[tuple] = []
-        for value_row in statement.rows:
-            values = [compile_expr(expr, resolver)(()) for expr in value_row]
-            rows_to_insert.append(
-                self._shape_row(table, statement.columns, values)
-            )
+        with self.statement_functions() as functions:
+            resolver = SchemaResolver([], functions)
+            for value_row in statement.rows:
+                values = [compile_expr(expr, resolver)(()) for expr in value_row]
+                rows_to_insert.append(
+                    self._shape_row(table, statement.columns, values)
+                )
         with self._dml_txn(session) as txn:
             for row in rows_to_insert:
                 self._insert_row(table, row, txn)
@@ -617,71 +646,73 @@ class Database:
         self, statement: UpdateStatement, session: DbSession | None = None
     ) -> QueryResult:
         table = self.table(statement.table)
-        resolver = SchemaResolver(
-            [(statement.table, c.name) for c in table.schema], self.functions
-        )
-        predicate = (
-            compile_expr(statement.where, resolver)
-            if statement.where is not None
-            else None
-        )
-        assignments: list[tuple[int, Callable]] = []
-        for name, expr in statement.assignments:
-            position = table.schema.position_of(name)
-            assignments.append((position, compile_expr(expr, resolver)))
+        with self.statement_functions() as functions:
+            resolver = SchemaResolver(
+                [(statement.table, c.name) for c in table.schema], functions
+            )
+            predicate = (
+                compile_expr(statement.where, resolver)
+                if statement.where is not None
+                else None
+            )
+            assignments: list[tuple[int, Callable]] = []
+            for name, expr in statement.assignments:
+                position = table.schema.position_of(name)
+                assignments.append((position, compile_expr(expr, resolver)))
 
-        updated = 0
-        with self._dml_txn(session) as txn:
-            # Two phases so an UPDATE never observes its own writes.
-            matches: list[tuple[int, tuple]] = []
-            for rid, row in table.scan():
-                if predicate is None or predicate(row) is True:
-                    matches.append((rid, row))
-            for rid, row in matches:
-                new_row = list(row)
-                for position, value_fn in assignments:
-                    new_row[position] = value_fn(row)
-                replacement = tuple(new_row)
-                old = table.update(rid, replacement)
-                txn.log_update(
-                    table.name,
-                    rid,
-                    table.tuple_bytes(replacement),
-                    undo=lambda rid=rid, old=old: table.update(rid, old),
-                    payload=replacement,
-                )
-                updated += 1
-        return QueryResult(rowcount=updated)
+            updated = 0
+            with self._dml_txn(session) as txn:
+                # Two phases so an UPDATE never observes its own writes.
+                matches: list[tuple[int, tuple]] = []
+                for rid, row in table.scan(functions.counters):
+                    if predicate is None or predicate(row) is True:
+                        matches.append((rid, row))
+                for rid, row in matches:
+                    new_row = list(row)
+                    for position, value_fn in assignments:
+                        new_row[position] = value_fn(row)
+                    replacement = tuple(new_row)
+                    old = table.update(rid, replacement)
+                    txn.log_update(
+                        table.name,
+                        rid,
+                        table.tuple_bytes(replacement),
+                        undo=lambda rid=rid, old=old: table.update(rid, old),
+                        payload=replacement,
+                    )
+                    updated += 1
+            return QueryResult(rowcount=updated)
 
     def _execute_delete(
         self, statement: DeleteStatement, session: DbSession | None = None
     ) -> QueryResult:
         table = self.table(statement.table)
-        resolver = SchemaResolver(
-            [(statement.table, c.name) for c in table.schema], self.functions
-        )
-        predicate = (
-            compile_expr(statement.where, resolver)
-            if statement.where is not None
-            else None
-        )
-        deleted = 0
-        with self._dml_txn(session) as txn:
-            victims = [
-                rid
-                for rid, row in table.scan()
-                if predicate is None or predicate(row) is True
-            ]
-            for rid in victims:
-                old = table.delete(rid)
-                txn.log_delete(
-                    table.name,
-                    rid,
-                    table.tuple_bytes(old),
-                    undo=lambda rid=rid, old=old: table.undo_delete(rid, old),
-                )
-                deleted += 1
-        return QueryResult(rowcount=deleted)
+        with self.statement_functions() as functions:
+            resolver = SchemaResolver(
+                [(statement.table, c.name) for c in table.schema], functions
+            )
+            predicate = (
+                compile_expr(statement.where, resolver)
+                if statement.where is not None
+                else None
+            )
+            deleted = 0
+            with self._dml_txn(session) as txn:
+                victims = [
+                    rid
+                    for rid, row in table.scan(functions.counters)
+                    if predicate is None or predicate(row) is True
+                ]
+                for rid in victims:
+                    old = table.delete(rid)
+                    txn.log_delete(
+                        table.name,
+                        rid,
+                        table.tuple_bytes(old),
+                        undo=lambda rid=rid, old=old: table.undo_delete(rid, old),
+                    )
+                    deleted += 1
+            return QueryResult(rowcount=deleted)
 
     # -- DDL ----------------------------------------------------------------
 

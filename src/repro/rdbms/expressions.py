@@ -442,6 +442,22 @@ class SchemaResolver(Resolver):
         return self._functions.scalar(name)
 
 
+def bind_call(implementation: Any, expr: FunctionCall) -> Any:
+    """The function's kernel bound to the call's literal key, or None.
+
+    Applies to ``fn(value, '<key>')`` calls of functions registered with a
+    ``bind`` hook (the reservoir extraction UDFs).  Both compilers use the
+    bound kernel in place of the per-row call, so a literal key is resolved
+    once per compiled expression; other calls keep the per-row path.
+    """
+    if implementation.bind is None or len(expr.args) != 2:
+        return None
+    key = expr.args[1]
+    if not isinstance(key, Literal) or not isinstance(key.value, str):
+        return None
+    return implementation.bind(key.value)
+
+
 def compile_expr(expr: Expr, resolver: Resolver) -> CompiledExpr:
     """Compile an expression tree into a closure ``row -> value``."""
     if isinstance(expr, Literal):
@@ -586,14 +602,24 @@ def compile_expr(expr: Expr, resolver: Resolver) -> CompiledExpr:
 
     if isinstance(expr, FunctionCall):
         implementation = resolver.resolve_function(expr.name)
+        counters = implementation.counters if implementation.counts_as_udf else None
+        bound = bind_call(implementation, expr)
+        if bound is not None:
+            source = compile_expr(expr.args[0], resolver)
+            if counters is None:
+                return lambda row: bound(source(row))
+
+            def _bound(row: Row) -> Any:
+                counters.udf_calls += 1
+                return bound(source(row))
+
+            return _bound
         args = [compile_expr(arg, resolver) for arg in expr.args]
         fn = implementation.fn
-        if implementation.counts_as_udf:
-            counters = implementation.counters
+        if counters is not None:
 
             def _udf(row: Row) -> Any:
-                if counters is not None:
-                    counters.udf_calls += 1
+                counters.udf_calls += 1
                 return fn(*[a(row) for a in args])
 
             return _udf

@@ -41,6 +41,14 @@ class ScalarFunction:
     ``("sinew_extract", method)`` for the reservoir-extraction UDFs.
     ``None`` -- the default for user closures -- keeps any query calling
     the function off the process lane (it falls back to threads).
+
+    ``bind`` is an optional hook for functions whose second argument is a
+    key: called once per compiled expression with a literal key, it
+    returns a kernel bound to that key -- ``kernel(value)`` for one row,
+    ``kernel.column(values)`` for a batch (see
+    :func:`repro.rdbms.expressions.bind_call`).  The reservoir extraction
+    UDFs use it to resolve the key to attribute ids once instead of on
+    every row.
     """
 
     name: str
@@ -50,6 +58,7 @@ class ScalarFunction:
     counters: CostCounters | None = None
     volatile: bool = False
     remote_spec: tuple[str, str] | None = None
+    bind: Callable[[str], Any] | None = None
 
 
 class AggregateFunction:
@@ -243,6 +252,7 @@ class FunctionRegistry:
         counts_as_udf: bool = True,
         volatile: bool = False,
         remote_spec: tuple[str, str] | None = None,
+        bind: Callable[[str], Any] | None = None,
     ) -> ScalarFunction:
         """Register a user-defined scalar function (CREATE FUNCTION)."""
         key = name.lower()
@@ -254,6 +264,7 @@ class FunctionRegistry:
             counters=self.counters,
             volatile=volatile,
             remote_spec=remote_spec,
+            bind=bind,
         )
         self._scalars[key] = implementation
         return implementation

@@ -59,7 +59,7 @@ class ExecutionContext:
     def __init__(
         self,
         counters: CostCounters,
-        functions: FunctionRegistry,
+        functions: FunctionRegistry | QueryFunctions,
         disk: DiskBudget,
         work_mem_bytes: int,
         *,
@@ -254,7 +254,7 @@ class SeqScan(PlanNode):
         self.est_cost = table.n_pages * SEQ_PAGE_COST + len(table) * CPU_TUPLE_COST
 
     def rows(self, context: ExecutionContext) -> Iterator[Row]:
-        for _rid, row in self.table.scan():
+        for _rid, row in self.table.scan(context.counters):
             yield row
 
     def node_label(self) -> str:
@@ -850,33 +850,50 @@ def _compare_keys(left: tuple, right: tuple) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _WorkerFunctions:
-    """Function-registry facade that hands out per-worker counter bindings.
+class QueryFunctions:
+    """Function-registry view that binds counted scalars to one counter bundle.
 
-    Compiled UDF closures increment ``implementation.counters`` directly,
-    which is racy across threads (``obj.attr += 1`` is not atomic); the
-    facade rebinds each counted scalar to the worker's private bundle so
-    increments stay single-threaded and the gather-time fold is exact.
+    Compiled UDF closures increment ``implementation.counters`` directly.
+    Through this view every counted scalar increments a private bundle
+    instead of the engine-wide one: each query gets a view over its own
+    bundle (:meth:`repro.rdbms.database.Database.execution_context`), and
+    each morsel worker one over the worker's bundle.  Increments therefore
+    never race, a query's counts are exactly its own work, and the folds
+    (worker into query at gather time, query into the engine totals at
+    query end) are exact.  Everything else forwards to the registry.
     """
 
-    def __init__(self, functions: FunctionRegistry, counters: CostCounters):
-        self._functions = functions
-        self._counters = counters
+    def __init__(self, functions: FunctionRegistry | QueryFunctions, counters: CostCounters):
+        # views never stack: a worker's view wraps the query's registry
+        self.registry = (
+            functions.registry if isinstance(functions, QueryFunctions) else functions
+        )
+        self.counters = counters
 
     def scalar(self, name: str):
-        implementation = self._functions.scalar(name)
+        implementation = self.registry.scalar(name)
         if implementation.counts_as_udf and implementation.counters is not None:
-            return replace(implementation, counters=self._counters)
+            return replace(implementation, counters=self.counters)
         return implementation
 
     def has_scalar(self, name: str) -> bool:
-        return self._functions.has_scalar(name)
+        return self.registry.has_scalar(name)
 
     def aggregate(self, name: str):
-        return self._functions.aggregate(name)
+        return self.registry.aggregate(name)
 
     def is_aggregate(self, name: str) -> bool:
-        return self._functions.is_aggregate(name)
+        return self.registry.is_aggregate(name)
+
+    def begin_query(self, execution_context: Any) -> None:
+        self.registry.begin_query(execution_context)
+
+    def end_query(self, execution_context: Any) -> None:
+        self.registry.end_query(execution_context)
+
+    @property
+    def remote_catalog(self) -> Any:
+        return self.registry.remote_catalog
 
 
 class _WorkerQueryScope:
@@ -986,7 +1003,7 @@ class ParallelScan(PlanNode):
         def run_morsel(morsel):
             counters = CostCounters()
             stats = ExtractionStats()
-            worker_functions = _WorkerFunctions(functions, counters)
+            worker_functions = QueryFunctions(functions, counters)
             scope = _WorkerQueryScope(stats, use_cache, hint, batch_rows=batch_rows)
             functions.begin_query(scope)
             try:
@@ -1190,7 +1207,7 @@ class _RunKey:
 
 def batch_sort_run(
     batches: Sequence[ColumnBatch],
-    worker_functions: "_WorkerFunctions",
+    worker_functions: "QueryFunctions",
     input_columns: OutputColumns,
     keys: Sequence[tuple[Expr, bool]],
 ) -> list[tuple[_RunKey, Row]]:
@@ -1226,7 +1243,7 @@ def batch_sort_run(
 
 def batch_aggregate_run(
     batches: Sequence[ColumnBatch],
-    worker_functions: "_WorkerFunctions",
+    worker_functions: "QueryFunctions",
     input_columns: OutputColumns,
     group_exprs: Sequence[Expr],
     aggregates: Sequence["AggSpec"],

@@ -43,7 +43,7 @@ from .functions import _BUILTIN_AGGREGATES, FunctionRegistry
 from .plan_nodes import (
     AggSpec,
     _MorselResult,
-    _WorkerFunctions,
+    QueryFunctions,
     _WorkerQueryScope,
     batch_aggregate_run,
     batch_sort_run,
@@ -131,7 +131,7 @@ def _registry_for(task: ProcessTask) -> FunctionRegistry:
     registry = _REGISTRIES.get(key)
     if registry is not None:
         return registry
-    # The registry-level counters are a placeholder: _WorkerFunctions
+    # The registry-level counters are a placeholder: QueryFunctions
     # rebinds every counted scalar to the running task's private bundle.
     registry = FunctionRegistry(CostCounters())
     extractor = None
@@ -154,6 +154,7 @@ def _registry_for(task: ProcessTask) -> FunctionRegistry:
             SqlType(type_value),
             counts_as_udf=True,
             remote_spec=(kind, target),
+            bind=extractor.binder(target),
         )
     _REGISTRIES[key] = registry
     return registry
@@ -177,7 +178,7 @@ def run_process_task(task: ProcessTask | ExitTask) -> Any:
     counters = CostCounters()
     stats = ExtractionStats()
     registry = _registry_for(task)
-    worker_functions = _WorkerFunctions(registry, counters)
+    worker_functions = QueryFunctions(registry, counters)
     scope = _WorkerQueryScope(
         stats, task.use_cache, task.hint, batch_rows=task.batch_rows
     )

@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .cost import CostCounters, DiskBudget
 from .errors import ExecutionError
@@ -220,6 +220,10 @@ class HeapTable:
         #: fires "storage.write_row" *before* a row write mutates the page,
         #: so an injected crash never leaves a half-applied write.
         self.faults = None
+        #: adds a private counter bundle into ``counters``.  The database
+        #: sets its locked fold here, so reads charged to no caller's bundle
+        #: never race a query's fold of the same field.
+        self.fold_counters: Callable[[CostCounters], None] = counters.accumulate
 
     # -- size accounting ----------------------------------------------------
 
@@ -361,18 +365,23 @@ class HeapTable:
         Cheap in PostgreSQL (NULL default adds only catalog metadata); here
         the rows are physically widened but the NULL values cost only the
         per-attribute presence overhead, which the size gauge re-reflects.
+
+        The new schema is published only after every row is widened.
+        Readers take no lock, so a query planned against the new schema
+        must never scan a row without the column; one planned against the
+        old schema just ignores the trailing NULL.
         """
-        old_arity = len(self.schema)
-        self.schema = self.schema.with_column(column)
+        schema = self.schema.with_column(column)
         delta_per_row = null_overhead_bytes(
-            len(self.schema), self.null_model
-        ) - null_overhead_bytes(old_arity, self.null_model)
+            len(schema), self.null_model
+        ) - null_overhead_bytes(len(self.schema), self.null_model)
         for page in self.pages:
             for slot_no, row in enumerate(page.slots):
                 if row is not None:
                     page.slots[slot_no] = row + (None,)
                     page.used_bytes += delta_per_row
         self.total_bytes += delta_per_row * self.live_rows
+        self.schema = schema
         self.version += 1
 
     def drop_column(self, name: str) -> None:
@@ -409,12 +418,22 @@ class HeapTable:
 
     # -- access -------------------------------------------------------------
 
-    def scan(self) -> Iterator[tuple[int, tuple]]:
+    def scan(self, counters: CostCounters | None = None) -> Iterator[tuple[int, tuple]]:
         """Yield ``(rid, row)`` for every live row, page by page.
 
         Each visited page is pulled through the buffer pool, so scanning a
         table larger than the pool registers reads on the cost counters.
+        ``counters`` charges tuple accounting to the caller's (per-query)
+        bundle; without one the scan counts privately and folds the count
+        through :attr:`fold_counters` when it ends.
         """
+        if counters is None:
+            private = CostCounters()
+            try:
+                yield from self.scan(private)
+            finally:
+                self.fold_counters(private)
+            return
         rid = 0
         directory = self._rid_directory
         n_rids = len(directory)
@@ -426,7 +445,7 @@ class HeapTable:
             while rid < n_rids and directory[rid][0] == page_no:
                 row = slots[directory[rid][1]]
                 if row is not None:
-                    self.counters.tuples_scanned += 1
+                    counters.tuples_scanned += 1
                     yield rid, row
                 rid += 1
 
@@ -442,10 +461,17 @@ class HeapTable:
         filler from :meth:`alloc_dead_slot`) are skipped, and each page is
         pulled through the buffer pool once per contiguous visit.  Pass
         ``counters`` to charge tuple accounting to a private (per-worker)
-        bundle instead of the shared one -- page accounting always goes
-        through the (locked) buffer pool.
+        bundle -- page accounting always goes through the (locked) buffer
+        pool.  Without ``counters`` the range counts privately and folds
+        as :meth:`scan` does.
         """
-        counters = self.counters if counters is None else counters
+        if counters is None:
+            private = CostCounters()
+            try:
+                yield from self.scan_range(start_rid, end_rid, private)
+            finally:
+                self.fold_counters(private)
+            return
         directory = self._rid_directory
         end = min(end_rid, len(directory))
         rid = max(0, start_rid)
@@ -462,13 +488,20 @@ class HeapTable:
                 yield rid, row
             rid += 1
 
-    def fetch(self, rid: int) -> tuple | None:
-        """Random access to one row (through the buffer pool)."""
+    def fetch(self, rid: int, counters: CostCounters | None = None) -> tuple | None:
+        """Random access to one row (through the buffer pool).
+
+        ``counters`` charges the read to the caller's bundle; without one
+        it is folded through :attr:`fold_counters` right away.
+        """
         page_no, slot_no = self._locate(rid)
         self.buffer_pool.access(self.name, page_no)
         row = self.pages[page_no].slots[slot_no]
         if row is not None:
-            self.counters.tuples_scanned += 1
+            if counters is None:
+                self.fold_counters(CostCounters(tuples_scanned=1))
+            else:
+                counters.tuples_scanned += 1
         return row
 
     def _locate(self, rid: int) -> tuple[int, int]:

@@ -27,6 +27,17 @@ extraction counters --
   every kernel after the first hits the entries the first one decoded --
   the same decode-once-hit-rest pattern as row-major evaluation.
 
+Extraction calls with a literal key (``extract_key_text(data, 'k')``)
+compile to a **bound kernel** (:func:`repro.rdbms.expressions.bind_call`):
+the function's bind hook resolves the key once, and the batch kernel
+hands the whole argument column to ``kernel.column(values)`` -- one call
+per batch instead of one UDF dispatch per row.  Its counter contract is
+the per-row one: ``udf_calls`` grows by ``len(sel)`` (the logical calls),
+and every row still takes its header and sub-documents through the
+extraction context in row order, so decode/hit counts are unchanged
+(DESIGN.md section 8, "Bound extraction kernels").  Other calls keep the
+per-row loop.
+
 Only error *positions* may differ: a failing CAST in predicate three
 aborts the batch before projections of earlier rows ran, where the
 streaming serial pipeline had already projected them.  Failed queries
@@ -57,6 +68,7 @@ from .expressions import (
     _compare,
     _kleene_and,
     _kleene_or,
+    bind_call,
     like_to_regex,
 )
 from .types import cast_value
@@ -150,6 +162,9 @@ class ColumnBatch:
         selection = self.selection()
         n_columns = len(self._columns)
         columns = [self._columns[p] for p in range(n_columns)]
+        if columns and len(selection) == self.n_rows:
+            # compacted (projected) batch: every row is valid
+            return list(zip(*columns))
         return [tuple(col[i] for col in columns) for i in selection]
 
     def __len__(self) -> int:
@@ -361,9 +376,19 @@ def compile_batch(expr: Expr, resolver: Resolver) -> BatchKernel:
 
     if isinstance(expr, FunctionCall):
         implementation = resolver.resolve_function(expr.name)
+        counters = implementation.counters if implementation.counts_as_udf else None
+        bound = bind_call(implementation, expr)
+        if bound is not None:
+            source = compile_batch(expr.args[0], resolver)
+
+            def _bound_call(batch: ColumnBatch, sel: list[int]) -> list[Any]:
+                if counters is not None:
+                    counters.udf_calls += len(sel)
+                return bound.column(source(batch, sel))
+
+            return _bound_call
         args = [compile_batch(arg, resolver) for arg in expr.args]
         fn = implementation.fn
-        counters = implementation.counters if implementation.counts_as_udf else None
 
         def _call(batch: ColumnBatch, sel: list[int]) -> list[Any]:
             out = []

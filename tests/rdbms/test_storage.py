@@ -159,6 +159,27 @@ class TestSchemaEvolution:
         table.update(0, (1, "x", 2.5))
         assert table.fetch(0)[2] == 2.5
 
+    def test_add_column_publishes_schema_after_every_row_is_wide(self):
+        # scans take no lock: a query that sees the new column in the
+        # schema (and plans a reference to it) must find it in every row
+        table = make_table(page_bytes=1024)
+        for i in range(40):
+            table.insert((i, "x" * 100))
+        published_early: list[bool] = []
+
+        class WatchedSlots(list):
+            def __setitem__(self, index, row):
+                published_early.append("c" in table.schema)
+                super().__setitem__(index, row)
+
+        for page in table.pages:
+            page.slots = WatchedSlots(page.slots)
+        table.add_column(Column("c", SqlType.REAL))
+
+        assert len(published_early) == 40
+        assert not any(published_early)
+        assert all(len(row) == 3 for _rid, row in table.scan())
+
     def test_drop_column_narrows_rows_and_frees_bytes(self):
         table = make_table()
         table.insert((1, "hello"))
